@@ -39,33 +39,17 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "=== scheduler bit-identity: calendar vs heap, fcontext vs ucontext ==="
 # The scheduler fast paths (calendar run queue, fcontext switches, pooled
 # effect/record objects) must be invisible to the simulation. First pin
-# which backends each mode actually selects, then rerun two bench legs
-# with ARGO_SLOW_PATHS=1 — the seed's heap + ucontext + per-op allocation
-# — and require byte-identical JSON rows modulo the provenance stamp.
+# which backends each mode actually selects, then rerun the bench legs
+# listed in scripts/json_identity.py with ARGO_SLOW_PATHS=1 — the seed's
+# heap + ucontext + per-op allocation + literal spin loops — and require
+# byte-identical JSON rows modulo the provenance stamp.
 build/bench/microbench_engine --quick \
   | grep -q "run queue: calendar" \
   || { echo "FAIL: fast mode did not select the calendar queue"; exit 1; }
 ARGO_SLOW_PATHS=1 build/bench/microbench_engine --quick \
   | grep -q "context backend: ucontext, run queue: heap" \
   || { echo "FAIL: ARGO_SLOW_PATHS=1 did not select ucontext + heap"; exit 1; }
-for leg in "fig09_writebuffer --quick" "fig13a_lu --quick --pipeline 16"; do
-  echo "--- $leg (fast vs ARGO_SLOW_PATHS=1)"
-  ARGO_SLOW_PATHS=0 build/bench/$leg --json build/identity_fast.json > /dev/null
-  ARGO_SLOW_PATHS=1 build/bench/$leg --json build/identity_slow.json > /dev/null
-  python3 - <<'EOF'
-import json
-def rows(path):
-    out = []
-    for r in json.load(open(path)):
-        for k in ("commit", "date"):  # provenance may differ, nothing else
-            r.pop(k, None)
-        out.append(r)
-    return out
-fast, slow = rows("build/identity_fast.json"), rows("build/identity_slow.json")
-assert fast == slow, "fast vs ARGO_SLOW_PATHS=1 JSON rows diverged"
-print(f"  OK: {len(fast)} JSON rows bit-identical fast vs slow")
-EOF
-done
+python3 scripts/json_identity.py build
 
 echo "=== sanitizer build (ASan + UBSan) ==="
 cmake -B build-sanitize -S . -DARGO_SANITIZE=ON

@@ -1,5 +1,6 @@
 #include "apps/pqueue.hpp"
 
+#include <atomic>
 #include <cassert>
 
 #include "sim/random.hpp"
@@ -201,7 +202,9 @@ PqResult pq_bench_dsm(Cluster& cl, DsmLockKind kind, const PqParams& p) {
                               static_cast<std::size_t>(cl.nthreads()) * 64);
   argosync::HqdLock hqdl(cl);
   argosync::DsmCohortLock cohort(cl);
-  std::uint64_t ops = 0;
+  // Bumped by fibers on every shard; under parallel engine workers a plain
+  // counter loses increments.
+  std::atomic<std::uint64_t> ops{0};
   argosim::Time t_end = 0;
   cl.run([&](Thread& t) {
     if (t.gid() == 0) {
@@ -228,11 +231,11 @@ PqResult pq_bench_dsm(Cluster& cl, DsmLockKind kind, const PqParams& p) {
         hqdl.execute(t, cs, /*wait=*/!is_insert);
       else
         cohort.execute(t, cs);
-      ++ops;
+      ops.fetch_add(1, std::memory_order_relaxed);
     }
   });
   PqResult r;
-  r.ops = ops;
+  r.ops = ops.load(std::memory_order_relaxed);
   r.elapsed = p.duration;
   return r;
 }

@@ -152,6 +152,8 @@ void Cluster::register_metrics() {
                        [this] { return eng_.calendar_resizes(); });
   metrics_.add_counter("sim.fast_forwards",
                        [this] { return eng_.delay_fast_forwards(); });
+  metrics_.add_counter("sim.poll_steps",
+                       [this] { return eng_.poll_steps(); });
   metrics_.add_counter("sim.stacks_reused",
                        [this] { return eng_.stacks_reused(); });
   // The SmallFn counters are process-wide; report this cluster's share by

@@ -260,6 +260,17 @@ class Thread {
   std::uint64_t atomic_load(gptr<std::uint64_t> p);
   void atomic_store(gptr<std::uint64_t> p, std::uint64_t v);
 
+  /// Spin on `p` until `done(value)` accepts a value read; returns it.
+  /// Exactly
+  ///   for (;;) { v = atomic_load(p); if (done(v)) return v;
+  ///              compute(backoff); }
+  /// When `p` is homed on this node (an MCS-style local spin) the polls
+  /// run as scheduler-side engine steps (Interconnect::poll_local), so the
+  /// host pays no fiber switch per poll. `done` must not block or advance
+  /// time.
+  template <class Done>
+  std::uint64_t atomic_poll(gptr<std::uint64_t> p, Time backoff, Done&& done);
+
  private:
   friend class Cluster;
   Thread(Cluster* cluster, int node, int tid, int gid, int core,
@@ -430,5 +441,22 @@ class Cluster {
   argoobs::MetricsRegistry metrics_;
   std::vector<std::unique_ptr<argoobs::TraceSink>> sinks_;
 };
+
+template <class Done>
+std::uint64_t Thread::atomic_poll(gptr<std::uint64_t> p, Time backoff,
+                                  Done&& done) {
+  auto& g = cluster_->gmem();
+  // A word's home moves only in the recovery pass of a node declared dead.
+  // The reaper stops that node's fibers at its crash (within reap_poll of
+  // an op-count trigger), well before heartbeats can declare it, so a
+  // word local at the first poll stays local to the last.
+  if (g.home_of(p.raw()) == node_)
+    return cluster_->net().poll_local(node_, g.home_ptr(p), backoff, done);
+  for (;;) {
+    const std::uint64_t v = atomic_load(p);
+    if (done(v)) return v;
+    compute(backoff);
+  }
+}
 
 }  // namespace argo

@@ -486,11 +486,9 @@ void Interconnect::wait_all(int node) {
 
 PostedHandle Interconnect::post_read(int src, int dst, const void* remote,
                                      void* local, std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_reads;
-  s.bytes_read += n;
+  const Time local_cost = count_read(src, n);
   if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
+    argosim::delay(local_cost);
     std::memcpy(local, remote, n);
     return retired_handle(src, false, 0);
   }
@@ -746,11 +744,9 @@ std::shared_ptr<std::vector<std::byte>> snapshot(const void* local,
 
 void Interconnect::read(int src, int dst, const void* remote, void* local,
                         std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_reads;
-  s.bytes_read += n;
+  const Time local_cost = count_read(src, n);
   if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
+    argosim::delay(local_cost);
   } else if (sharded_engine()) {
     auto rec = sharded_op(src, dst, n, cfg_.rdma_latency, "RDMA read",
                           capture_bytes(remote, n));
@@ -766,11 +762,9 @@ void Interconnect::read(int src, int dst, const void* remote, void* local,
 
 bool Interconnect::try_read(int src, int dst, const void* remote, void* local,
                             std::size_t n) {
-  auto& s = boxes_[src]->stats;
-  ++s.rdma_reads;
-  s.bytes_read += n;
+  const Time local_cost = count_read(src, n);
   if (src == dst) {
-    argosim::delay(cfg_.mem_latency + cfg_.mem_copy(n));
+    argosim::delay(local_cost);
   } else if (sharded_engine()) {
     auto rec = acquire_record(*boxes_[src]);
     ApplyFn apply = capture_bytes(remote, n);

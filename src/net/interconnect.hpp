@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -158,6 +159,29 @@ class Interconnect {
 
   /// Write `n` bytes from `local` into `remote` (memory homed on node `dst`).
   void write(int src, int dst, void* remote, const void* local, std::size_t n);
+
+  /// Spin on a word homed on node `src` itself until `done(value)` accepts
+  /// a value read, and return that value. Between reads the caller
+  /// computes for `backoff` ns. Simulated time and statistics are exactly
+  /// those of
+  ///   for (;;) { read(src, src, word, &v, 8); if (done(v)) return v;
+  ///              delay(backoff); }
+  /// but the polls run as scheduler-side steps (Engine::poll), so the host
+  /// pays no fiber switch per poll. `done` must not block or advance time.
+  template <class Done>
+  std::uint64_t poll_local(int src, const std::uint64_t* word, Time backoff,
+                           Done&& done) {
+    std::uint64_t v = 0;
+    argosim::Engine::current()->poll(
+        local_read_cost(sizeof v), backoff,
+        [&] { count_read(src, sizeof v); },
+        [&] {
+          // The value observed is the content at completion time.
+          std::memcpy(&v, word, sizeof v);
+          return done(v);
+        });
+    return v;
+  }
 
   /// Charge an RDMA write of `n` payload bytes without performing a copy.
   /// Used for scattered payloads (diff runs): the caller applies the bytes
@@ -393,6 +417,23 @@ class Interconnect {
   }
 
  private:
+  /// What an RDMA read of `n` bytes costs when the memory is the reader's
+  /// own node.
+  Time local_read_cost(std::size_t n) const {
+    return cfg_.mem_latency + cfg_.mem_copy(n);
+  }
+
+  /// Count an RDMA read of `n` bytes issued by `src` and return its local
+  /// cost. read, try_read, post_read and poll_local all count and cost
+  /// their reads through here, so a local poll step stays the exact image
+  /// of a local read.
+  Time count_read(int src, std::size_t n) {
+    auto& s = boxes_[src]->stats;
+    ++s.rdma_reads;
+    s.bytes_read += n;
+    return local_read_cost(n);
+  }
+
   struct Pending {
     Time deliver_at;
     std::uint64_t seq;

@@ -517,38 +517,19 @@ void Engine::switch_to_scheduler() {
   if (self->stop_requested_) throw SimStopped{};
 }
 
-void Engine::delay(Time ns) {
-  SimThread* self = g_thread;
-  assert(self && "delay() outside a simulated thread");
+bool Engine::try_fast_forward(SimThread* self, Time when) {
   if (sharded_) {
+    // Additionally bounded by the lookahead window: the shard may not run
+    // past window_end_ this window, and ties (including a pending effect
+    // at `when`) go to the queue.
     Shard& s = *shards_[self->shard_];
-    const Time when = s.clock + ns;
-    if (!slow_paths() && !self->stop_requested_) {
-      // Same-fiber fast-forward, additionally bounded by the lookahead
-      // window: the shard may not run past window_end_ this window, and
-      // ties (including a pending effect at `when`) go to the queue.
-      Time nxt;
-      bool has = next_event_time(s, nxt);
-      if ((!has || when < nxt) &&
-          when < window_end_.load(std::memory_order_relaxed)) {
-        s.clock = when;
-        fast_forwards_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-    make_runnable(self, when);
-    switch_to_scheduler();
-    return;
-  }
-  const Time when = now_ + ns;
-  // Same-fiber fast-forward: if no other runnable fiber is due strictly
-  // before `when`, the scheduler would pop our own entry next and hand
-  // control straight back — so advance the clock in place and keep
-  // running, skipping the two swapcontext calls (and their sigprocmask
-  // syscalls). Ties go to the queued entry: our entry would carry the
-  // larger seq, which preserves the round-robin fairness of yield().
-  // A stopping fiber must reach switch_to_scheduler to unwind (SimStopped).
-  if (!slow_paths() && !self->stop_requested_) {
+    Time nxt;
+    const bool has = next_event_time(s, nxt);
+    if ((has && when >= nxt) ||
+        when >= window_end_.load(std::memory_order_relaxed))
+      return false;
+    s.clock = when;
+  } else {
     while (!runq_.empty()) {
       const QueueEntry& top = runq_.top();
       if (top.thread->finished_ || top.token != top.thread->wake_token_) {
@@ -558,17 +539,99 @@ void Engine::delay(Time ns) {
       }
       break;
     }
-    if (runq_.empty() || when < runq_.top().when) {
-      // A running fiber never has a live run-queue entry (make_runnable
-      // invalidates prior ones and the scheduler consumed the one that
-      // resumed us), so skipping the push/pop leaves no state behind.
-      now_ = when;
-      fast_forwards_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    if (!runq_.empty() && when >= runq_.top().when) return false;
+    // A running fiber never has a live run-queue entry (make_runnable
+    // invalidates prior ones and the scheduler consumed the one that
+    // resumed us), so skipping the push/pop leaves no state behind.
+    now_ = when;
   }
+  fast_forwards_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+void Engine::delay(Time ns) {
+  SimThread* self = g_thread;
+  assert(self && "delay() outside a simulated thread");
+  assert(self->poll_ == nullptr && "poll callbacks must not advance time");
+  const Time when = (sharded_ ? shards_[self->shard_]->clock : now_) + ns;
+  // Same-fiber fast-forward: if no other runnable fiber is due strictly
+  // before `when`, the scheduler would pop our own entry next and hand
+  // control straight back — so advance the clock in place and keep
+  // running, skipping the two context switches. Ties go to the queued
+  // entry: our entry would carry the larger seq, which preserves the
+  // round-robin fairness of yield(). A stopping fiber must reach
+  // switch_to_scheduler to unwind (SimStopped).
+  if (!slow_paths() && !self->stop_requested_ &&
+      try_fast_forward(self, when))
+    return;
   make_runnable(self, when);
   switch_to_scheduler();
+}
+
+void Engine::poll_impl(PollState& p) {
+  SimThread* self = g_thread;
+  assert(self && "poll() outside a simulated thread");
+  if (slow_paths() || self->stop_requested_) {
+    for (;;) {
+      p.issue(p.issue_ctx);
+      delay(p.read_cost);
+      if (p.probe(p.probe_ctx)) return;
+      delay(p.backoff);
+    }
+  }
+  // The steps before the first queued one run here in the fiber, exactly
+  // as the literal loop's fast-forwarded delays would; from then on the
+  // scheduler runs them (run_poll_step) and resumes us only to return.
+  struct Clear {
+    SimThread* t;
+    ~Clear() { t->poll_ = nullptr; }
+  } clear{self};
+  self->poll_ = &p;
+  if (poll_advance(self, p)) return;
+  switch_to_scheduler();  // throws SimStopped if we were killed meanwhile
+  if (p.error) std::rethrow_exception(p.error);
+}
+
+bool Engine::poll_advance(SimThread* t, PollState& p) {
+  for (;;) {
+    Time d;
+    if (p.reading) {
+      if (p.probe(p.probe_ctx)) return true;
+      d = p.backoff;
+    } else {
+      p.issue(p.issue_ctx);
+      d = p.read_cost;
+    }
+    p.reading = !p.reading;
+    const Time when = (sharded_ ? shards_[t->shard_]->clock : now_) + d;
+    if (!try_fast_forward(t, when)) {
+      make_runnable(t, when);
+      return false;
+    }
+  }
+}
+
+bool Engine::run_poll_step(SimThread* t) {
+  if (g_shard_idx != kNoShard)
+    ++shards_[g_shard_idx]->poll_steps;
+  else
+    ++poll_steps_;
+  // The callbacks see the fiber's context (now(), current_thread()), as
+  // they would running inside it.
+  Engine* prev_engine = g_engine;
+  SimThread* prev_thread = g_thread;
+  g_engine = this;
+  g_thread = t;
+  bool resume;
+  try {
+    resume = poll_advance(t, *t->poll_);
+  } catch (...) {
+    t->poll_->error = std::current_exception();  // rethrown in the fiber
+    resume = true;
+  }
+  g_engine = prev_engine;
+  g_thread = prev_thread;
+  return resume;
 }
 
 void Engine::kill(SimThread* t) {
@@ -609,6 +672,11 @@ void Engine::run() {
     ++runq_pops_;
     assert(e.when >= now_);
     now_ = e.when;
+    // A polling fiber's entry is a poll step; a kill (stop_requested_)
+    // must resume the fiber so it unwinds.
+    if (e.thread->poll_ != nullptr && !e.thread->stop_requested_ &&
+        !run_poll_step(e.thread))
+      continue;
     try {
       switch_to(e.thread);
     } catch (...) {
@@ -728,6 +796,9 @@ bool Engine::shard_step(Shard& s, Time w1, bool& progressed) {
       e.thread->queued_ = false;
       ++s.pops;
       s.clock = e.when;
+      if (e.thread->poll_ != nullptr && !e.thread->stop_requested_ &&
+          !run_poll_step(e.thread))
+        continue;
       try {
         switch_to(e.thread);
       } catch (...) {

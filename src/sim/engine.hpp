@@ -31,12 +31,14 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "sim/calqueue.hpp"
@@ -48,6 +50,7 @@ namespace argosim {
 
 class Engine;
 class SimGate;
+struct PollState;
 
 /// Thrown inside blocked fibers when the engine shuts down (e.g. daemon
 /// handler threads still waiting on a channel after all workers finished).
@@ -125,6 +128,23 @@ class SimThread {
   bool queued_ = false;    // a live (token-matching) run-queue entry exists
   std::uint32_t shard_ = 0;
   std::uint64_t wake_token_ = 0;  // invalidates stale run-queue entries
+  // Set while the fiber is inside Engine::poll(): its run-queue entries are
+  // then poll steps, run on the scheduler stack instead of resuming it.
+  PollState* poll_ = nullptr;
+};
+
+/// A local-spin poll in flight (Engine::poll): the type-erased callbacks
+/// plus which half of the loop the pending wake ends. Lives on the polling
+/// fiber's stack for the duration of the call.
+struct PollState {
+  Time read_cost;
+  Time backoff;
+  void* issue_ctx;
+  void (*issue)(void*);
+  void* probe_ctx;
+  bool (*probe)(void*);
+  bool reading = false;  // pending wake completes a read (probe next)
+  std::exception_ptr error;  // thrown by a callback on the scheduler stack
 };
 
 /// The virtual-time scheduler.
@@ -198,10 +218,45 @@ class Engine {
   /// is additionally bounded by the current lookahead window.
   void delay(Time ns);
 
+  /// Local-spin poll: exactly
+  ///   for (;;) { issue(); delay(read_cost); if (probe()) return;
+  ///              delay(backoff); }
+  /// `issue` accounts for a read when it is issued; `probe` inspects the
+  /// word when the read completes. Under the fast paths the fiber parks
+  /// once and each later step runs on the scheduler stack when its
+  /// run-queue entry pops. Every step pushes the same (when, seq) entry at
+  /// the same moment, and takes the same in-place fast-forward, as the
+  /// delay() it replaces, so the simulated schedule is unchanged; only the
+  /// two fiber switches per delay disappear. The callbacks must not block
+  /// or advance time. One that throws unwinds the calling fiber; a kill
+  /// lands at the same instant as in the literal loop. ARGO_SLOW_PATHS
+  /// runs the literal loop.
+  template <class Issue, class Probe>
+  void poll(Time read_cost, Time backoff, Issue&& issue, Probe&& probe) {
+    using I = std::remove_reference_t<Issue>;
+    using P = std::remove_reference_t<Probe>;
+    PollState st{read_cost,
+                 backoff,
+                 const_cast<void*>(static_cast<const void*>(&issue)),
+                 [](void* f) { (*static_cast<I*>(f))(); },
+                 const_cast<void*>(static_cast<const void*>(&probe)),
+                 [](void* f) { return bool((*static_cast<P*>(f))()); },
+                 /*reading=*/false,
+                 /*error=*/nullptr};
+    poll_impl(st);
+  }
+
   /// Host-path diagnostics: delays absorbed by the same-fiber fast-forward
   /// and fiber stacks recycled from the pool (both 0 under ARGO_SLOW_PATHS).
   std::uint64_t delay_fast_forwards() const {
     return fast_forwards_.load(std::memory_order_relaxed);
+  }
+  /// Poll steps (Engine::poll) run on the scheduler stack instead of
+  /// resuming their fiber (0 under ARGO_SLOW_PATHS).
+  std::uint64_t poll_steps() const {
+    std::uint64_t n = poll_steps_;
+    for (const auto& s : shards_) n += s->poll_steps;
+    return n;
   }
   std::uint64_t stacks_reused() const { return stacks_reused_; }
   /// Stale (wake_token-invalidated) run-queue entries removed by heap
@@ -326,6 +381,7 @@ class Engine {
     std::uint64_t switches = 0;
     std::uint64_t pushes = 0;
     std::uint64_t pops = 0;
+    std::uint64_t poll_steps = 0;
     SimThread* stalled = nullptr;     // fiber parked in await()
     const SimRecord* stall_rec = nullptr;
     std::exception_ptr error;
@@ -340,6 +396,16 @@ class Engine {
   void switch_to(SimThread* t);
   void switch_to_scheduler();  // called from inside a fiber
   void reap_finished_one(SimThread* t);
+  // Advance the calling fiber's clock to `when` in place if delay() would
+  // (nothing else due strictly before it; in sharded mode also inside the
+  // window). Counts the fast-forward.
+  bool try_fast_forward(SimThread* self, Time when);
+  void poll_impl(PollState& p);
+  // Run poll steps from the instant the pending wake fires until one has
+  // to queue (false, entry pushed) or the probe accepts (true).
+  bool poll_advance(SimThread* t, PollState& p);
+  // Scheduler side of a popped poll-step entry; true = resume the fiber.
+  bool run_poll_step(SimThread* t);
 
   // sharded internals
   void run_sharded();
@@ -365,6 +431,7 @@ class Engine {
   std::uint64_t stacks_reused_ = 0;
   std::atomic<std::uint64_t> runq_purged_{0};
   std::uint64_t switches_ = 0;     // legacy-engine context switches
+  std::uint64_t poll_steps_ = 0;   // legacy-engine scheduler-side poll steps
   std::uint64_t runq_pushes_ = 0;  // legacy-engine live pushes/pops
   std::uint64_t runq_pops_ = 0;
   Time now_ = 0;

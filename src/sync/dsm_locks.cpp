@@ -84,15 +84,15 @@ void GlobalMcsLock::acquire(Thread& t) {
       membership_->await_recovery(e.dst());
       continue;
     }
-    for (;;) {
-      const std::uint64_t v = t.atomic_load(flag_[me]);
-      if (v == kGranted) {
-        holder_.store(static_cast<int>(me), std::memory_order_relaxed);
-        return;
-      }
-      if (v == kRestart) break;  // queue force-reset after a crash: retry
-      t.compute(kPoll);
+    const std::uint64_t v =
+        t.atomic_poll(flag_[me], kPoll, [](std::uint64_t f) {
+          return f == kGranted || f == kRestart;
+        });
+    if (v == kGranted) {
+      holder_.store(static_cast<int>(me), std::memory_order_relaxed);
+      return;
     }
+    // kRestart: the queue was force-reset after a crash; re-contend.
   }
 }
 
@@ -137,20 +137,23 @@ void GlobalMcsLock::release(Thread& t) {
       return;
     }
     // Someone swapped in concurrently; wait for the link to appear.
+    // A contender that swapped into the tail and then crashed before
+    // linking would strand this wait forever. Once a death has been
+    // declared, give the link well past the worst in-flight store time,
+    // then reset the queue — we still hold the lock, so this is the one
+    // place (besides the lease sweep, whose holder is dead) that may.
     int stalled = 0;
-    while (t.atomic_load(next_[me]) == 0) {
-      // A contender that swapped into the tail and then crashed before
-      // linking would strand this wait forever. Once a death has been
-      // declared, give the link well past the worst in-flight store time,
-      // then reset the queue — we still hold the lock, so this is the one
-      // place (besides the lease sweep, whose holder is dead) that may.
-      if (membership_ != nullptr && membership_->any_dead() &&
-          ++stalled >= kStuckPolls) {
-        host_reset_queue();
-        holder_.store(-1, std::memory_order_relaxed);
-        return;
-      }
-      t.compute(kPoll);
+    bool stuck = false;
+    t.atomic_poll(next_[me], kPoll, [&](std::uint64_t link) {
+      if (link != 0) return true;
+      stuck = membership_ != nullptr && membership_->any_dead() &&
+              ++stalled >= kStuckPolls;
+      return stuck;
+    });
+    if (stuck) {
+      host_reset_queue();
+      holder_.store(-1, std::memory_order_relaxed);
+      return;
     }
   }
   const std::uint64_t succ = t.atomic_load(next_[me]) - 1;
@@ -451,8 +454,8 @@ void DsmFlag::set(Thread& t, std::uint64_t value) {
 }
 
 std::uint64_t DsmFlag::wait(Thread& t, std::uint64_t at_least) {
-  std::uint64_t v;
-  while ((v = t.atomic_load(word_)) < at_least) t.compute(500);
+  const std::uint64_t v = t.atomic_poll(
+      word_, 500, [at_least](std::uint64_t w) { return w >= at_least; });
   t.acquire();  // see everything the signaller published
   return v;
 }

@@ -366,12 +366,22 @@ TEST(PqBench, LocalHarnessRunsAndCounts) {
 
 TEST(PqBench, DsmHarnessRunsBothLocks) {
   for (auto kind : {DsmLockKind::Hqdl, DsmLockKind::Cohort}) {
-    Cluster cl(app_cfg(2, 3, 512));
     PqParams p;
     p.duration = 150'000;
     p.prefill = 128;
-    const auto r = pq_bench_dsm(cl, kind, p);
-    EXPECT_GT(r.ops, 0u);
+    // 0 is the legacy engine; 1 and 2 are the sharded engine run
+    // sequentially and on two parallel workers. The two sharded runs take
+    // the same schedule, so they must count the same ops (fibers on both
+    // workers bump the shared op counter).
+    std::uint64_t ops[3] = {0, 0, 0};
+    for (const int workers : {0, 1, 2}) {
+      auto cfg = app_cfg(2, 3, 512);
+      cfg.engine_threads = workers;
+      Cluster cl(cfg);
+      ops[workers] = pq_bench_dsm(cl, kind, p).ops;
+      EXPECT_GT(ops[workers], 0u) << "engine_threads=" << workers;
+    }
+    EXPECT_EQ(ops[1], ops[2]);
   }
 }
 

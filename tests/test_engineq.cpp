@@ -10,13 +10,19 @@
 // record pooling) must produce bit-identical virtual times, statistics and
 // traces to the fast configuration (calendar, fcontext where supported,
 // pooled effects) at every engine worker count, with and without chaos
-// fault injection, at posted-pipeline depths 1 and 16.
+// fault injection, at posted-pipeline depths 1 and 16. Third, Engine::poll
+// (scheduler-side poll steps) must be indistinguishable from the literal
+// issue/delay/probe/delay loop it replaces, down to kills and exceptions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <queue>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/ep.hpp"
@@ -25,6 +31,7 @@
 #include "core/cluster.hpp"
 #include "net/faults.hpp"
 #include "sim/calqueue.hpp"
+#include "sim/engine.hpp"
 #include "sim/random.hpp"
 #include "sim/slowpath.hpp"
 #include "sim/time.hpp"
@@ -345,6 +352,233 @@ TEST(FastSlowIdentity, EpUnderChaosSeeds) {
           return f;
         });
   }
+}
+
+// ---------------------------------------------------------------------------
+// Engine::poll vs the literal loop
+// ---------------------------------------------------------------------------
+
+using argosim::Engine;
+using argosim::SimThread;
+
+// One observable event of a poll program: a read issued ('i'), a probe
+// and the value it saw ('p'), a satisfied wait ('d') or a write ('w').
+struct PollEv {
+  Time t;
+  std::uint64_t fiber;
+  std::uint64_t value;
+  char kind;
+  bool operator==(const PollEv&) const = default;
+};
+
+enum class PollMode {
+  Slow,       // ARGO_SLOW_PATHS: the oracle
+  Literal,    // fast paths, the loop written out with delay()
+  Primitive,  // fast paths, Engine::poll
+};
+
+struct PollRun {
+  std::vector<std::vector<PollEv>> logs;  // one per shard
+  Time end = 0;
+  std::uint64_t pushes = 0;
+  std::uint64_t pops = 0;
+  std::uint64_t fast_forwards = 0;
+  std::uint64_t switches = 0;
+  std::uint64_t poll_steps = 0;
+};
+
+// Spawn on `shard` (sharded engine) or plainly (legacy engine).
+SimThread* spawn_in(Engine& eng, std::uint32_t shard, std::string name,
+                    std::function<void()> body) {
+  if (eng.sharded())
+    return eng.spawn_on(shard, std::move(name), std::move(body));
+  return eng.spawn(std::move(name), std::move(body));
+}
+
+// Writers bump three words per shard to 1..kPollWrites at random delays;
+// pollers wait for random rising thresholds on random words with random
+// read costs and backoffs. Half the delays sit on a 10 ns grid that most
+// pollers' read + backoff cadence shares, so writes land exactly on poll
+// instants. workers < 0 selects the legacy engine; otherwise two shards
+// (lookahead 40 ns) advanced by `workers` host threads.
+constexpr std::uint64_t kPollWrites = 24;
+
+PollRun run_poll_program(std::uint64_t seed, int workers, PollMode mode) {
+  SlowGuard guard;
+  argosim::set_slow_paths(mode == PollMode::Slow);
+  Engine eng;
+  const std::uint32_t shards = workers < 0 ? 1 : 2;
+  if (workers >= 0)
+    eng.enable_sharding(shards, /*l=*/40, static_cast<std::uint32_t>(workers));
+  PollRun r;
+  r.logs.resize(shards);
+  std::vector<std::array<std::uint64_t, 3>> words(shards, {0, 0, 0});
+  Rng rng(seed);
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    auto& log = r.logs[s];
+    auto& w = words[s];
+    for (int k = 0; k < 3; ++k) {
+      const std::uint64_t wseed = rng.next_u64();
+      spawn_in(eng, s, "writer", [&log, &w, k, wseed] {
+        Rng wr(wseed);
+        const auto id = Engine::current_thread()->id();
+        for (std::uint64_t v = 1; v <= kPollWrites; ++v) {
+          argosim::delay(wr.next_below(2) != 0 ? 10 * wr.next_below(4)
+                                               : wr.next_below(25));
+          w[static_cast<std::size_t>(k)] = v;
+          log.push_back({argosim::now(), id, v, 'w'});
+        }
+      });
+    }
+    for (int p = 0; p < 4; ++p) {
+      const std::uint64_t pseed = rng.next_u64();
+      spawn_in(eng, s, "poller", [&eng, &log, &w, pseed, mode] {
+        Rng pr(pseed);
+        const Time read_cost = 1 + pr.next_below(6);
+        const Time backoff =
+            pr.next_below(2) != 0 ? 10 - read_cost : pr.next_below(12);
+        const auto id = Engine::current_thread()->id();
+        std::uint64_t need = 0;
+        while (need < kPollWrites) {
+          need = std::min(kPollWrites, need + 1 + pr.next_below(3));
+          const std::uint64_t& word = w[pr.next_below(3)];
+          auto issue = [&] { log.push_back({argosim::now(), id, 0, 'i'}); };
+          auto probe = [&] {
+            log.push_back({argosim::now(), id, word, 'p'});
+            return word >= need;
+          };
+          if (mode == PollMode::Literal) {
+            for (;;) {
+              issue();
+              argosim::delay(read_cost);
+              if (probe()) break;
+              argosim::delay(backoff);
+            }
+          } else {
+            eng.poll(read_cost, backoff, issue, probe);
+          }
+          log.push_back({argosim::now(), id, need, 'd'});
+          argosim::delay(pr.next_below(30));
+        }
+      });
+    }
+  }
+  eng.run();
+  r.end = eng.now();
+  r.pushes = eng.runq_pushes();
+  r.pops = eng.runq_pops();
+  r.fast_forwards = eng.delay_fast_forwards();
+  r.switches = eng.context_switches();
+  r.poll_steps = eng.poll_steps();
+  return r;
+}
+
+TEST(EnginePoll, RandomizedStepsMatchTheLiteralLoop) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    for (const int workers : {-1, 1, 2}) {
+      const std::string label = "seed " + std::to_string(seed) +
+                                " workers " + std::to_string(workers);
+      const PollRun slow = run_poll_program(seed, workers, PollMode::Slow);
+      const PollRun lit = run_poll_program(seed, workers, PollMode::Literal);
+      const PollRun prim = run_poll_program(seed, workers, PollMode::Primitive);
+      ASSERT_GT(slow.logs[0].size(), 100u) << label;
+      EXPECT_EQ(slow.logs, prim.logs) << label;
+      EXPECT_EQ(slow.end, prim.end) << label;
+      EXPECT_EQ(lit.logs, prim.logs) << label;
+      // Against the fast literal loop: the very same run-queue entries and
+      // in-place fast-forwards, only without the per-step fiber switches.
+      EXPECT_EQ(lit.pushes, prim.pushes) << label;
+      EXPECT_EQ(lit.pops, prim.pops) << label;
+      EXPECT_EQ(lit.fast_forwards, prim.fast_forwards) << label;
+      EXPECT_LT(prim.switches, lit.switches) << label;
+      EXPECT_GT(prim.poll_steps, 0u) << label;
+      EXPECT_EQ(lit.poll_steps, 0u) << label;
+      EXPECT_EQ(slow.poll_steps, 0u) << label;
+    }
+  }
+}
+
+// A fiber killed while it polls unwinds at the kill instant — whether the
+// kill lands between steps or exactly on a probe — and the rest of the
+// simulation carries on; a probe that throws on the scheduler stack
+// surfaces in the polling fiber at the same instant as in the literal loop.
+TEST(EnginePoll, KilledPollerUnwindsAtTheKillInstant) {
+  struct Obs {
+    Time unwound = 0;
+    int probes = 0;
+    Time end = 0;
+    bool operator==(const Obs&) const = default;
+  };
+  // read 3 + backoff 7: probes land at 3, 13, 23, ...
+  auto run = [](int workers, bool slow, Time kill_at) {
+    SlowGuard guard;
+    argosim::set_slow_paths(slow);
+    Engine eng;
+    if (workers >= 0)
+      eng.enable_sharding(1, /*l=*/40, static_cast<std::uint32_t>(workers));
+    Obs o;
+    const std::uint64_t word = 0;  // never written: only the kill ends it
+    SimThread* poller = spawn_in(eng, 0, "poller", [&] {
+      struct OnUnwind {
+        Time* at;
+        ~OnUnwind() { *at = argosim::now(); }
+      } on_unwind{&o.unwound};
+      eng.poll(3, 7, [] {}, [&] {
+        ++o.probes;
+        return word != 0;
+      });
+      ADD_FAILURE() << "poll returned without its probe accepting";
+    });
+    spawn_in(eng, 0, "killer", [&eng, poller, kill_at] {
+      argosim::delay(kill_at);
+      eng.kill(poller);
+      argosim::delay(50);
+    });
+    eng.run();
+    o.end = eng.now();
+    return o;
+  };
+  for (const int workers : {-1, 1}) {
+    for (const Time kill_at : {Time{2}, Time{13}, Time{58}, Time{1000}}) {
+      const Obs slow = run(workers, true, kill_at);
+      const Obs fast = run(workers, false, kill_at);
+      EXPECT_EQ(slow, fast) << "workers " << workers << " kill " << kill_at;
+      EXPECT_EQ(fast.unwound, kill_at);
+      EXPECT_EQ(fast.end, kill_at + 50);
+    }
+  }
+
+  auto run_throwing = [](bool slow) {
+    SlowGuard guard;
+    argosim::set_slow_paths(slow);
+    Engine eng;
+    Time caught = 0;
+    int probes = 0;
+    eng.spawn("other", [] {
+      for (int i = 0; i < 40; ++i) argosim::delay(4);
+    });
+    eng.spawn("poller", [&] {
+      try {
+        eng.poll(3, 7, [] {}, [&]() -> bool {
+          if (++probes == 5) throw std::runtime_error("probe failed");
+          return false;
+        });
+      } catch (const std::runtime_error&) {
+        caught = argosim::now();
+      }
+      argosim::delay(1);
+    });
+    eng.run();
+    return std::make_tuple(caught, probes, eng.now(), eng.poll_steps());
+  };
+  const auto [slow_at, slow_probes, slow_end, slow_steps] = run_throwing(true);
+  const auto [fast_at, fast_probes, fast_end, fast_steps] = run_throwing(false);
+  EXPECT_EQ(slow_at, fast_at);
+  EXPECT_EQ(fast_at, Time{43});  // fifth probe: 3 + 4 * 10
+  EXPECT_EQ(slow_probes, fast_probes);
+  EXPECT_EQ(slow_end, fast_end);
+  EXPECT_EQ(slow_steps, 0u);
+  EXPECT_GT(fast_steps, 0u);  // the throw happened on the scheduler stack
 }
 
 }  // namespace

@@ -2,10 +2,16 @@
 // cohort/QD) and distributed locks (RDMA MCS, HQDL, DSM cohort, flags).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "core/membership.hpp"
+#include "obs/export.hpp"
+#include "sim/slowpath.hpp"
 #include "sync/dsm_locks.hpp"
 #include "sync/local_locks.hpp"
 #include "sync/qd_lock.hpp"
@@ -482,6 +488,190 @@ TEST(DsmMutex, TimedLockHonorsTimeoutAndFences) {
   });
   EXPECT_FALSE(n1_first_try);
   EXPECT_EQ(n1_read, 42u);
+}
+
+// ---------------------------------------------------------------------------
+// Scheduler-side local-spin polls (Thread::atomic_poll over Engine::poll):
+// the fast paths against the ARGO_SLOW_PATHS=1 literal loop, lock by lock.
+// ---------------------------------------------------------------------------
+
+// Restores the process-wide slow-path toggle on scope exit.
+struct SlowGuard {
+  bool prev = argosim::slow_paths();
+  ~SlowGuard() { argosim::set_slow_paths(prev); }
+};
+
+// Everything the identity contract covers, plus the host step counter.
+struct LockObs {
+  Time elapsed = 0;
+  std::uint64_t result = 0;
+  std::vector<std::string> counters;  // every non-sim.* Cluster counter
+  std::vector<std::uint8_t> trace;    // ARGOTRC1 bytes
+  std::uint64_t poll_steps = 0;
+};
+
+LockObs observe(Cluster& cl, Time elapsed, std::uint64_t result) {
+  LockObs o;
+  o.elapsed = elapsed;
+  o.result = result;
+  for (const auto& c : cl.stats().counters) {
+    if (c.name == "sim.poll_steps") o.poll_steps = c.value;
+    // sim.* are host-side scheduler diagnostics, outside the contract.
+    if (c.name.rfind("sim.", 0) != 0)
+      o.counters.push_back(c.name + "=" + std::to_string(c.value));
+  }
+  o.trace = argoobs::encode_binary(cl.tracer().snapshot(),
+                                   cl.tracer().dropped());
+  return o;
+}
+
+void expect_same_run(const LockObs& slow, const LockObs& fast,
+                     const std::string& label) {
+  EXPECT_EQ(slow.elapsed, fast.elapsed) << label;
+  EXPECT_EQ(slow.result, fast.result) << label;
+  EXPECT_EQ(slow.counters, fast.counters) << label;
+  EXPECT_EQ(slow.trace, fast.trace) << label;
+  EXPECT_EQ(slow.poll_steps, 0u) << label;
+  EXPECT_GT(fast.poll_steps, 0u) << label;  // the fast path was taken
+}
+
+enum class DsmLockKind { Hqdl, Mutex, Cohort };
+
+LockObs run_contended(DsmLockKind kind, int nodes, bool slow) {
+  SlowGuard guard;
+  argosim::set_slow_paths(slow);
+  ClusterConfig cfg = dsm_cfg(nodes, 2);
+  cfg.trace.enabled = true;
+  Cluster cl(cfg);
+  auto ctr = cl.alloc<std::uint64_t>(1);
+  std::optional<HqdLock> hqdl;
+  std::optional<DsmMutex> mutex;
+  std::optional<DsmCohortLock> cohort;
+  switch (kind) {
+    case DsmLockKind::Hqdl: hqdl.emplace(cl); break;
+    case DsmLockKind::Mutex: mutex.emplace(cl); break;
+    case DsmLockKind::Cohort: cohort.emplace(cl, /*cohort_limit=*/2); break;
+  }
+  const Time elapsed = cl.run([&](Thread& t) {
+    auto cs = [&](Thread& th) {
+      th.store(ctr, th.load(ctr) + 1);
+      th.compute(300);
+    };
+    for (int k = 0; k < 6; ++k) {
+      switch (kind) {
+        case DsmLockKind::Hqdl: hqdl->execute(t, cs, /*wait=*/true); break;
+        case DsmLockKind::Mutex:
+          mutex->lock(t);
+          cs(t);
+          mutex->unlock(t);
+          break;
+        case DsmLockKind::Cohort: cohort->execute(t, cs); break;
+      }
+      t.compute(100 + static_cast<Time>((37 * t.gid() + 11 * k) % 200));
+    }
+  });
+  return observe(cl, elapsed, *cl.host_ptr(ctr));
+}
+
+TEST(PollSteps, LocksAreBitIdenticalToTheLiteralSpin) {
+  const std::pair<DsmLockKind, const char*> kinds[] = {
+      {DsmLockKind::Hqdl, "hqdl"},
+      {DsmLockKind::Mutex, "mutex"},
+      {DsmLockKind::Cohort, "cohort"}};
+  for (const auto& [kind, name] : kinds) {
+    for (const int nodes : {4, 8}) {
+      const std::string label =
+          std::string(name) + " nodes=" + std::to_string(nodes);
+      const LockObs slow = run_contended(kind, nodes, /*slow=*/true);
+      const LockObs fast = run_contended(kind, nodes, /*slow=*/false);
+      EXPECT_EQ(fast.result, static_cast<std::uint64_t>(nodes) * 2u * 6u)
+          << label;
+      ASSERT_GT(fast.trace.size(), 32u) << label;
+      expect_same_run(slow, fast, label);
+    }
+  }
+}
+
+// A queued waiter's node crashes while the holder keeps the lock. The
+// holder's release finds its successor declared dead and force-resets the
+// queue, so the live waiter queued behind it reads kRestart out of its
+// scheduler-side poll and re-contends. Replays bit-identically, fast or
+// slow, run after run.
+LockObs run_queued_waiter_crash(bool slow) {
+  SlowGuard guard;
+  argosim::set_slow_paths(slow);
+  ClusterConfig cfg = dsm_cfg(4, 1);
+  cfg.trace.enabled = true;
+  cfg.faults.enabled = true;  // crash schedules ride the fault channel
+  cfg.faults.seed = 7;
+  cfg.membership.enabled = true;
+  cfg.faults.crashes.push_back(argonet::CrashEvent{.node = 2, .at = 300'000});
+  Cluster cl(cfg);
+  auto ctr = cl.alloc<std::uint64_t>(1);
+  DsmMutex lock(cl);
+  const Time elapsed = cl.run([&](Thread& t) {
+    // Node 1 takes the lock first and holds it past the crash and its
+    // detection; nodes 2, 3 and 0 queue behind it in that order.
+    const Time arrive[] = {60'000, 0, 20'000, 40'000};
+    t.compute(arrive[t.node()]);
+    lock.lock(t);
+    t.store(ctr, t.load(ctr) + 1);
+    if (t.node() == 1) t.compute(1'000'000);
+    lock.unlock(t);
+  });
+  LockObs o = observe(cl, elapsed, *cl.host_ptr(ctr));
+  EXPECT_EQ(cl.membership().stats().deaths, 1u);
+  EXPECT_GE(cl.membership().lock_epoch(), 1u);  // the forced queue reset
+  return o;
+}
+
+TEST(PollSteps, QueuedWaiterCrashRestartReplaysBitIdentically) {
+  const LockObs slow = run_queued_waiter_crash(/*slow=*/true);
+  const LockObs fast = run_queued_waiter_crash(/*slow=*/false);
+  EXPECT_EQ(fast.result, 3u);  // every live node got the lock once
+  expect_same_run(slow, fast, "queued waiter crash");
+  const LockObs again = run_queued_waiter_crash(/*slow=*/false);
+  EXPECT_EQ(again.elapsed, fast.elapsed);
+  EXPECT_EQ(again.counters, fast.counters);
+  EXPECT_EQ(again.trace, fast.trace);
+  EXPECT_EQ(again.poll_steps, fast.poll_steps);
+}
+
+// DsmFlag waiters: the flag is homed on node 0, so node 0's waiter polls
+// it as scheduler-side steps while every other node's keeps the plain
+// remote-read loop. Both kinds must see the same values at the same times.
+LockObs run_flag_waits(bool slow) {
+  SlowGuard guard;
+  argosim::set_slow_paths(slow);
+  ClusterConfig cfg = dsm_cfg(4, 2);
+  cfg.trace.enabled = true;
+  Cluster cl(cfg);
+  DsmFlag flag(cl);
+  auto data = cl.alloc<std::uint64_t>(1);
+  std::uint64_t seen = 0;
+  const Time elapsed = cl.run([&](Thread& t) {
+    if (t.gid() == 3) {  // the signaller, on node 1
+      for (std::uint64_t round = 1; round <= 4; ++round) {
+        t.compute(7'000 + 1'300 * round);
+        t.store(data, round * 10);
+        flag.set(t, round);
+      }
+      return;
+    }
+    for (std::uint64_t round = 1; round <= 4; ++round) {
+      const std::uint64_t v = flag.wait(t, round);
+      seen += v * 100 + t.load(data);
+      t.compute(static_cast<Time>(50 * t.gid()));
+    }
+  });
+  return observe(cl, elapsed, seen);
+}
+
+TEST(PollSteps, DsmFlagWaitIsBitIdenticalToTheLiteralSpin) {
+  const LockObs slow = run_flag_waits(/*slow=*/true);
+  const LockObs fast = run_flag_waits(/*slow=*/false);
+  ASSERT_GT(fast.trace.size(), 32u);
+  expect_same_run(slow, fast, "dsm flag");
 }
 
 }  // namespace
