@@ -1,6 +1,6 @@
 // Engine microbenchmarks: the scheduler hot paths measured in isolation,
 // in *wall-clock* time (everything else in bench/ reports virtual time).
-// Three probes, one per tentpole axis of the host-performance work:
+// Four probes, one per axis of the host-performance work:
 //
 //   fiber_switch  ping-pong context switches between simulated threads —
 //                 the fcontext vs ucontext cost, divided out per switch
@@ -11,6 +11,10 @@
 //                 cover dense (same-day) and sparse (day-scan) regimes
 //   posted_rtt    post_read + wait round trips through the interconnect's
 //                 posted send queue — the pooled-record / SmallFn path
+//   poll_step     local-spin polls (Engine::poll) of N fibers on words
+//                 nobody writes, next to one fiber ticking through delay():
+//                 the cost per issue or probe step, scheduler-side under
+//                 the fast paths and a literal delay loop under the slow
 //
 // Every row stamps the active backends ("fcontext"/"ucontext" and
 // "calendar"/"heap"), so a fast run and an ARGO_SLOW_PATHS=1 run of this
@@ -40,7 +44,7 @@ double wall_ns_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-/// Row prefix shared by the three probes: the figure id, the probe name,
+/// Row prefix shared by the probes: the figure id, the probe name,
 /// and the two backend stamps that distinguish fast from slow runs.
 JsonReport::Row& mb_row(JsonReport& json, const char* probe,
                         const BenchOpts& opts, int nodes, bool calendar) {
@@ -174,6 +178,49 @@ void bench_posted_rtt(JsonReport& json, const BenchOpts& opts, bool calendar) {
       .num("posted_ops", net.stats(0).posted_ops);
 }
 
+// --- poll_step --------------------------------------------------------------
+
+/// `pollers` daemon fibers spin on never-written words at the local-read
+/// cadence of the Fig. 12 grant-flag wait (read 50 ns, backoff 100 ns)
+/// while one fiber ticks every microsecond; the run ends with the ticker
+/// and the engine unwinds the pollers. Steps (issues plus probes) are
+/// counted by the callbacks, so fast and slow runs divide by the same
+/// number.
+void bench_poll_step(JsonReport& json, const BenchOpts& opts, bool calendar) {
+  const int pollers = 31;
+  const int ticks = opts.quick ? 500 : 5000;
+  std::uint64_t steps = 0;
+  double wall = 0.0;
+  {
+    Engine eng;
+    const std::uint64_t word = 0;
+    for (int p = 0; p < pollers; ++p)
+      eng.spawn(Table::fmt("poll%d", p), [&eng, &steps, &word] {
+        eng.poll(50, 100, [&steps] { ++steps; }, [&steps, &word] {
+          ++steps;
+          return word != 0;
+        });
+      }, /*daemon=*/true);
+    eng.spawn("ticker", [ticks] {
+      for (int i = 0; i < ticks; ++i) argosim::delay(1000);
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    eng.run();
+    wall = wall_ns_since(t0);
+  }
+  const double per = steps != 0 ? wall / static_cast<double>(steps) : 0.0;
+  Table t({"pollers", "steps", "wall_ms", "ns/step"});
+  t.row({Table::fmt("%d", pollers),
+         Table::fmt("%llu", static_cast<unsigned long long>(steps)),
+         Table::fmt("%.2f", wall / 1e6), Table::fmt("%.1f", per)});
+  t.print();
+  mb_row(json, "poll_step", opts, 0, calendar)
+      .num("pollers", pollers)
+      .num("steps", steps)
+      .num("wall_ms", wall / 1e6)
+      .num("ns_per_step", per);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -182,7 +229,7 @@ int main(int argc, char** argv) {
   const bool calendar = !argosim::slow_paths();
   header("Engine microbench",
          "scheduler hot paths in wall-clock time (fiber switch, run-queue "
-         "hold, posted round-trip)");
+         "hold, posted round-trip, poll step)");
   note(Table::fmt("context backend: %s, run queue: %s",
                   Engine::context_backend(), calendar ? "calendar" : "heap")
            .c_str());
@@ -193,6 +240,7 @@ int main(int argc, char** argv) {
   bench_fiber_switch(json, opts, calendar);
   bench_runq_hold(json, opts, calendar);
   bench_posted_rtt(json, opts, calendar);
+  bench_poll_step(json, opts, calendar);
   json.write(opts.json_path);
   return 0;
 }

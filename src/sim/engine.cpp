@@ -191,6 +191,8 @@ void Engine::require_serial(const char* why) const {
 void Engine::shutdown() {
   // Unwind any fibers that are still alive (typically daemon message
   // handlers) so their stacks and captures are destroyed properly.
+  // A fiber parked in poll() keeps its live lane entry: with
+  // stop_requested_ set, popping it resumes the fiber, which unwinds.
   for (auto& t : threads_) {
     if (!t->finished_) {
       t->stop_requested_ = true;
@@ -202,40 +204,35 @@ void Engine::shutdown() {
     }
   }
   if (sharded_) {
+    // Unbounded windows until no effect is left to route. Each shard
+    // drains on the worker that runs it in every window: a fiber must
+    // resume on the host thread it started on, whose scheduler context
+    // (and, under the sanitizers, fiber bookkeeping) it switched away from.
     window_end_.store(std::numeric_limits<Time>::max(),
                       std::memory_order_relaxed);
-    route_outboxes();
-    // Drain every shard on the main thread, multiple passes until no
-    // progress (a shard can stall on an effect a later shard still holds).
-    bool progressed = true;
-    bool pending = true;
-    while (pending && progressed) {
-      pending = false;
-      progressed = false;
-      for (std::uint32_t i = 0; i < shards_.size(); ++i) {
-        g_shard_idx = i;
-        if (!shard_step(*shards_[i], std::numeric_limits<Time>::max(),
-                        progressed))
-          pending = true;
-        shards_[i]->error = nullptr;  // errors during shutdown are dropped
-      }
-      g_shard_idx = kNoShard;
+    do {
       route_outboxes();
-    }
+      for (auto& sp : shards_) sp->error = nullptr;  // dropped at shutdown
+      run_windows();
+    } while (std::any_of(shards_.begin(), shards_.end(),
+                         [](const auto& sp) { return !sp->outbox.empty(); }));
+    for (auto& sp : shards_) sp->error = nullptr;
     stop_pool();
     return;
   }
-  while (!runq_.empty()) {
-    QueueEntry e = runq_.top();
-    runq_.pop();
-    if (e.thread->finished_ || e.token != e.thread->wake_token_) {
-      if (runq_dead_ > 0) --runq_dead_;
-      continue;
+  std::uint64_t pops = 0;  // shutdown traffic is not counted
+  for (;;) {
+    const QueueEntry lim = queue_limit(0);
+    SimThread* t = run_lane(lane_, now_, pops, lim);
+    if (t == nullptr) {
+      if (lim.thread == nullptr) break;
+      runq_.pop();
+      t = lim.thread;
+      t->queued_ = false;
+      now_ = std::max(now_, lim.when);
     }
-    e.thread->queued_ = false;
-    now_ = std::max(now_, e.when);
     try {
-      switch_to(e.thread);
+      switch_to(t);
     } catch (...) {
       // Destructor must not throw; errors during shutdown are dropped.
     }
@@ -310,11 +307,101 @@ void Engine::push_entry(EventQueue<QueueEntry>& q, std::size_t& dead,
 }
 
 void Engine::compact(EventQueue<QueueEntry>& q, std::size_t& dead) {
-  const std::size_t removed = q.compact([](const QueueEntry& e) {
-    return e.thread->finished_ || e.token != e.thread->wake_token_;
-  });
+  const std::size_t removed = q.compact(&Engine::stale);
   runq_purged_.fetch_add(removed, std::memory_order_relaxed);
   dead = 0;
+}
+
+const Engine::QueueEntry* Engine::live_top(EventQueue<QueueEntry>& q,
+                                           std::size_t& dead) {
+  for (; !q.empty(); q.pop()) {
+    if (!stale(q.top())) return &q.top();
+    if (dead > 0) --dead;
+  }
+  return nullptr;
+}
+
+// The poll-step path (PollLane::push/top, push_step, try_fast_forward,
+// poll_advance, run_poll_step) is declared inline so that run_lane's loop
+// compiles into one function: a step costs tens of nanoseconds, and the
+// calls between these helpers were a measurable part of that.
+
+std::size_t Engine::PollLane::fifo(Time delay) {
+  std::size_t i = 0;
+  while (i < fifos_.size() && fifos_[i].delay != delay) ++i;
+  if (i == fifos_.size())
+    fifos_.push_back(Fifo{delay, std::vector<QueueEntry>(16)});
+  return i;
+}
+
+inline void Engine::PollLane::push(std::size_t i, const QueueEntry& e) {
+  Fifo& f = fifos_[i];
+  if (f.size == f.ring.size()) {  // full: unroll into a ring twice as big
+    std::vector<QueueEntry> bigger(2 * f.size);
+    for (std::size_t k = 0; k < f.size; ++k)
+      bigger[k] = f.ring[(f.head + k) & (f.size - 1)];
+    f.ring.swap(bigger);
+    f.head = 0;
+  }
+  f.ring[(f.head + f.size++) & (f.ring.size() - 1)] = e;
+  // Only a new head can change the minimum.
+  if (f.size == 1 && min_ != kNone && fifos_[min_].front() > e) min_ = i;
+}
+
+inline const Engine::QueueEntry* Engine::PollLane::top() {
+  for (;;) {
+    if (min_ == kNone) {
+      for (std::size_t i = 0; i < fifos_.size(); ++i)
+        if (fifos_[i].size != 0 &&
+            (min_ == kNone || fifos_[min_].front() > fifos_[i].front()))
+          min_ = i;
+      if (min_ == kNone) return nullptr;
+    }
+    if (!stale(fifos_[min_].front())) return &fifos_[min_].front();
+    pop();
+  }
+}
+
+Engine::QueueEntry Engine::queue_limit(std::uint32_t shard) {
+  constexpr Time kNever = std::numeric_limits<Time>::max();
+  if (!sharded_) {
+    const QueueEntry* r = live_top(runq_, runq_dead_);
+    return r ? *r : QueueEntry{kNever, 0, nullptr, 0};
+  }
+  Shard& s = *shards_[shard];
+  QueueEntry lim{window_end_.load(std::memory_order_relaxed), 0, nullptr, 0};
+  if (!s.effq.empty() && s.effq.top().when < lim.when)
+    lim.when = s.effq.top().when;
+  if (const QueueEntry* r = live_top(s.runq, s.dead); r && lim > *r) lim = *r;
+  return lim;
+}
+
+inline void Engine::push_step(SimThread* t, Time d, std::size_t fifo) {
+  // Like make_runnable, minus queued_: that flag tracks run-queue entries
+  // only, and a kill's token bump is all a lane entry needs to go stale.
+  if (sharded_) {
+    Shard& s = *shards_[t->shard_];
+    ++s.pushes;
+    s.lane.push(fifo,
+                QueueEntry{s.clock + d, s.next_seq++, t, ++t->wake_token_});
+    return;
+  }
+  ++runq_pushes_;
+  lane_.push(fifo, QueueEntry{now_ + d, next_seq_++, t, ++t->wake_token_});
+}
+
+SimThread* Engine::run_lane(PollLane& lane, Time& clock, std::uint64_t& pops,
+                            const QueueEntry& lim) {
+  while (const QueueEntry* l = lane.top()) {
+    if (!(lim > *l)) return nullptr;
+    SimThread* t = l->thread;
+    assert(l->when >= clock);
+    clock = l->when;
+    lane.pop();
+    ++pops;
+    if (t->stop_requested_ || run_poll_step(t, lim.when)) return t;
+  }
+  return nullptr;
 }
 
 void Engine::make_runnable(SimThread* t, Time when) {
@@ -398,6 +485,14 @@ const char* Engine::context_backend() {
 #endif
 }
 
+// Fiber stacks are separate page-aligned allocations, so their top frames
+// (a parked poller's PollState and callbacks, which every poll step reads)
+// would all share one set of L1 lines. Starting each fiber's stack a
+// per-fiber number of cache lines lower spreads them over every set.
+std::size_t Engine::colored_stack_size(const SimThread* t) {
+  return t->impl_->stack_size - (t->id_ % 64) * 64;
+}
+
 void Engine::switch_to(SimThread* t) {
   Engine* prev_engine = g_engine;
   SimThread* prev_thread = g_thread;
@@ -415,14 +510,14 @@ void Engine::switch_to(SimThread* t) {
     if (!slow_paths()) {
       t->impl_->use_fctx = true;
       t->impl_->fctx =
-          argo_fctx_make(t->impl_->stack.get(), t->impl_->stack_size,
+          argo_fctx_make(t->impl_->stack.get(), colored_stack_size(t),
                          &Engine::fiber_main_fctx);
     }
 #endif
     if (!t->impl_->use_fctx) {
       getcontext(&t->impl_->ctx);
       t->impl_->ctx.uc_stack.ss_sp = t->impl_->stack.get();
-      t->impl_->ctx.uc_stack.ss_size = t->impl_->stack_size;
+      t->impl_->ctx.uc_stack.ss_size = colored_stack_size(t);
       t->impl_->ctx.uc_link = &g_sched_ctx;
       unsigned hi, lo;
       pack_ptr(t, hi, lo);
@@ -517,34 +612,17 @@ void Engine::switch_to_scheduler() {
   if (self->stop_requested_) throw SimStopped{};
 }
 
-bool Engine::try_fast_forward(SimThread* self, Time when) {
-  if (sharded_) {
-    // Additionally bounded by the lookahead window: the shard may not run
-    // past window_end_ this window, and ties (including a pending effect
-    // at `when`) go to the queue.
-    Shard& s = *shards_[self->shard_];
-    Time nxt;
-    const bool has = next_event_time(s, nxt);
-    if ((has && when >= nxt) ||
-        when >= window_end_.load(std::memory_order_relaxed))
-      return false;
-    s.clock = when;
-  } else {
-    while (!runq_.empty()) {
-      const QueueEntry& top = runq_.top();
-      if (top.thread->finished_ || top.token != top.thread->wake_token_) {
-        if (runq_dead_ > 0) --runq_dead_;
-        runq_.pop();  // stale: the scheduler loop would discard it anyway
-        continue;
-      }
-      break;
-    }
-    if (!runq_.empty() && when >= runq_.top().when) return false;
-    // A running fiber never has a live run-queue entry (make_runnable
-    // invalidates prior ones and the scheduler consumed the one that
-    // resumed us), so skipping the push/pop leaves no state behind.
-    now_ = when;
-  }
+inline bool Engine::try_fast_forward(SimThread* self, Time when, Time bound) {
+  // In sharded mode `bound` also covers the lookahead window (the shard
+  // may not run past window_end_) and a pending effect at `when`.
+  if (when >= bound) return false;
+  PollLane& lane = sharded_ ? shards_[self->shard_]->lane : lane_;
+  if (const QueueEntry* l = lane.top(); l != nullptr && when >= l->when)
+    return false;
+  // A running fiber never has a live queue entry (make_runnable
+  // invalidates prior ones and the scheduler consumed the one that
+  // resumed us), so skipping the push/pop leaves no state behind.
+  (sharded_ ? shards_[self->shard_]->clock : now_) = when;
   fast_forwards_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -562,7 +640,7 @@ void Engine::delay(Time ns) {
   // round-robin fairness of yield(). A stopping fiber must reach
   // switch_to_scheduler to unwind (SimStopped).
   if (!slow_paths() && !self->stop_requested_ &&
-      try_fast_forward(self, when))
+      try_fast_forward(self, when, queue_limit(self->shard_).when))
     return;
   make_runnable(self, when);
   switch_to_scheduler();
@@ -587,31 +665,37 @@ void Engine::poll_impl(PollState& p) {
     ~Clear() { t->poll_ = nullptr; }
   } clear{self};
   self->poll_ = &p;
-  if (poll_advance(self, p)) return;
+  PollLane& lane = sharded_ ? shards_[self->shard_]->lane : lane_;
+  p.read_fifo = lane.fifo(p.read_cost);
+  p.backoff_fifo = lane.fifo(p.backoff);
+  if (poll_advance(self, p, queue_limit(self->shard_).when)) return;
   switch_to_scheduler();  // throws SimStopped if we were killed meanwhile
   if (p.error) std::rethrow_exception(p.error);
 }
 
-bool Engine::poll_advance(SimThread* t, PollState& p) {
+inline bool Engine::poll_advance(SimThread* t, PollState& p, Time bound) {
   for (;;) {
     Time d;
+    std::size_t fifo;
     if (p.reading) {
       if (p.probe(p.probe_ctx)) return true;
       d = p.backoff;
+      fifo = p.backoff_fifo;
     } else {
       p.issue(p.issue_ctx);
       d = p.read_cost;
+      fifo = p.read_fifo;
     }
     p.reading = !p.reading;
     const Time when = (sharded_ ? shards_[t->shard_]->clock : now_) + d;
-    if (!try_fast_forward(t, when)) {
-      make_runnable(t, when);
+    if (!try_fast_forward(t, when, bound)) {
+      push_step(t, d, fifo);
       return false;
     }
   }
 }
 
-bool Engine::run_poll_step(SimThread* t) {
+inline bool Engine::run_poll_step(SimThread* t, Time bound) {
   if (g_shard_idx != kNoShard)
     ++shards_[g_shard_idx]->poll_steps;
   else
@@ -624,7 +708,7 @@ bool Engine::run_poll_step(SimThread* t) {
   g_thread = t;
   bool resume;
   try {
-    resume = poll_advance(t, *t->poll_);
+    resume = poll_advance(t, *t->poll_, bound);
   } catch (...) {
     t->poll_->error = std::current_exception();  // rethrown in the fiber
     resume = true;
@@ -654,31 +738,31 @@ void Engine::run() {
   assert(!in_run_ && "Engine::run() is not reentrant");
   in_run_ = true;
   while (live_nondaemon_.load(std::memory_order_relaxed) > 0) {
-    if (runq_.empty()) {
-      std::ostringstream os;
-      os << "simulation deadlock at t=" << now_ << "ns; blocked threads:";
-      for (auto& t : threads_)
-        if (!t->finished_ && t->blocked_) os << ' ' << t->name_;
-      in_run_ = false;
-      throw SimDeadlock(os.str());
+    // Poll steps due before the run-queue top run first, without touching
+    // the run queue; `lim` (a copy of its top) stays valid meanwhile.
+    const QueueEntry lim = queue_limit(0);
+    SimThread* t = run_lane(lane_, now_, runq_pops_, lim);
+    if (t == nullptr) {
+      if (lim.thread == nullptr) {
+        std::ostringstream os;
+        os << "simulation deadlock at t=" << now_ << "ns; blocked threads:";
+        for (auto& th : threads_)
+          if (!th->finished_ && th->blocked_) os << ' ' << th->name_;
+        in_run_ = false;
+        throw SimDeadlock(os.str());
+      }
+      // lim's entry: queue_limit left the live top in place, and poll
+      // callbacks wake no fibers.
+      assert(runq_.top().seq == lim.seq);
+      runq_.pop();
+      t = lim.thread;
+      t->queued_ = false;
+      ++runq_pops_;
+      assert(lim.when >= now_);
+      now_ = lim.when;
     }
-    QueueEntry e = runq_.top();
-    runq_.pop();
-    if (e.thread->finished_ || e.token != e.thread->wake_token_) {
-      if (runq_dead_ > 0) --runq_dead_;
-      continue;
-    }
-    e.thread->queued_ = false;
-    ++runq_pops_;
-    assert(e.when >= now_);
-    now_ = e.when;
-    // A polling fiber's entry is a poll step; a kill (stop_requested_)
-    // must resume the fiber so it unwinds.
-    if (e.thread->poll_ != nullptr && !e.thread->stop_requested_ &&
-        !run_poll_step(e.thread))
-      continue;
     try {
-      switch_to(e.thread);
+      switch_to(t);
     } catch (...) {
       in_run_ = false;
       throw;
@@ -698,25 +782,12 @@ void Engine::route_outboxes() {
 }
 
 bool Engine::next_event_time(Shard& s, Time& t) {
-  while (!s.runq.empty()) {
-    const QueueEntry& top = s.runq.top();
-    if (top.thread->finished_ || top.token != top.thread->wake_token_) {
-      if (s.dead > 0) --s.dead;
-      s.runq.pop();
-      continue;
-    }
-    break;
-  }
-  bool any = false;
-  if (!s.runq.empty()) {
-    t = s.runq.top().when;
-    any = true;
-  }
-  if (!s.effq.empty() && (!any || s.effq.top().when < t)) {
-    t = s.effq.top().when;
-    any = true;
-  }
-  return any;
+  constexpr Time kNever = std::numeric_limits<Time>::max();
+  const QueueEntry* r = live_top(s.runq, s.dead);
+  const QueueEntry* l = s.lane.top();
+  t = std::min({r ? r->when : kNever, l ? l->when : kNever,
+                s.effq.empty() ? kNever : s.effq.top().when});
+  return r != nullptr || l != nullptr || !s.effq.empty();
 }
 
 void Engine::post_effect(std::uint32_t dst, Time when, std::uint32_t klass,
@@ -747,7 +818,8 @@ void Engine::await(const std::shared_ptr<SimRecord>& rec) {
   }
 }
 
-bool Engine::shard_step(Shard& s, Time w1, bool& progressed) {
+bool Engine::shard_step(std::uint32_t shard, bool& progressed) {
+  Shard& s = *shards_[shard];
   if (s.error) return true;
   if (s.stalled != nullptr) {
     if (!s.stall_rec->ready() && !s.stalled->stop_requested_) return false;
@@ -764,19 +836,17 @@ bool Engine::shard_step(Shard& s, Time w1, bool& progressed) {
     if (s.stalled != nullptr) return false;
   }
   while (true) {
-    Time t;
-    if (!next_event_time(s, t) || t >= w1) return true;
-    bool run_effect;
-    if (s.effq.empty())
-      run_effect = false;
-    else if (s.runq.empty() ||
-             s.runq.top().thread->finished_ ||  // (heads are fresh, but be safe)
-             s.runq.top().token != s.runq.top().thread->wake_token_)
-      run_effect = true;
-    else
-      run_effect = s.effq.top().when <= s.runq.top().when;
-    progressed = true;
-    if (run_effect) {
+    // Lane steps first, as in run(); effects win same-time ties (lim's
+    // seq 0) and nothing runs at or past the window end.
+    const QueueEntry lim = queue_limit(shard);
+    const std::uint64_t pops = s.pops;
+    SimThread* t = run_lane(s.lane, s.clock, s.pops, lim);
+    if (s.pops != pops) progressed = true;
+    if (t == nullptr && lim.thread == nullptr) {  // an effect, or nothing
+      if (s.effq.empty() ||
+          s.effq.top().when >= window_end_.load(std::memory_order_relaxed))
+        return true;
+      progressed = true;
       Effect e = std::move(const_cast<Effect&>(s.effq.top()));
       s.effq.pop();
       s.clock = e.when;
@@ -791,16 +861,16 @@ bool Engine::shard_step(Shard& s, Time w1, bool& progressed) {
       }
       g_engine = prev;
     } else {
-      QueueEntry e = s.runq.top();
-      s.runq.pop();
-      e.thread->queued_ = false;
-      ++s.pops;
-      s.clock = e.when;
-      if (e.thread->poll_ != nullptr && !e.thread->stop_requested_ &&
-          !run_poll_step(e.thread))
-        continue;
+      if (t == nullptr) {
+        s.runq.pop();  // lim's entry: queue_limit left the live top in place
+        t = lim.thread;
+        t->queued_ = false;
+        ++s.pops;
+        s.clock = lim.when;
+      }
+      progressed = true;
       try {
-        switch_to(e.thread);
+        switch_to(t);
       } catch (...) {
         s.error = std::current_exception();
         return true;
@@ -810,14 +880,14 @@ bool Engine::shard_step(Shard& s, Time w1, bool& progressed) {
   }
 }
 
-void Engine::run_window(std::uint32_t w, Time w1) {
+void Engine::run_window(std::uint32_t w) {
   int idle = 0;
   while (true) {
     bool all = true;
     bool progressed = false;
     for (std::uint32_t s = w; s < shards_.size(); s += workers_) {
       g_shard_idx = s;
-      if (!shard_step(*shards_[s], w1, progressed)) all = false;
+      if (!shard_step(s, progressed)) all = false;
     }
     g_shard_idx = kNoShard;
     if (all) break;
@@ -870,29 +940,7 @@ void Engine::run_sharded() {
                         ? std::numeric_limits<Time>::max()
                         : tmin + lookahead_;
     window_end_.store(w1, std::memory_order_relaxed);
-    in_window_ = true;
-    if (workers_ > 1) {
-      done_count_.store(0, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lk(pool_mu_);
-        epoch_.fetch_add(1, std::memory_order_release);
-      }
-      pool_cv_.notify_all();
-      run_window(0, w1);
-      // Same spin-then-yield as run_window: windows are short, so the
-      // stragglers usually finish within the spin, but when the host has
-      // fewer cores than workers they need this one to run at all.
-      for (int idle = 0;
-           done_count_.load(std::memory_order_acquire) < workers_ - 1;) {
-        if (++idle < 256)
-          cpu_pause();
-        else
-          std::this_thread::yield();
-      }
-    } else {
-      run_window(0, w1);
-    }
-    in_window_ = false;
+    run_windows();
     for (auto& sp : shards_) {
       if (sp->error) {  // lowest shard id wins (deterministic)
         err = sp->error;
@@ -907,6 +955,35 @@ void Engine::run_sharded() {
   if (f > now_) now_ = f;
   in_run_ = false;
   if (err) std::rethrow_exception(err);
+}
+
+// One window (ending at window_end_) on every worker, waiting for all.
+// Without a pool (before the first run, after shutdown) no fiber has run
+// on another host thread, so this thread runs every worker's shards.
+void Engine::run_windows() {
+  in_window_ = true;
+  if (pool_.empty()) {
+    for (std::uint32_t w = 0; w < workers_; ++w) run_window(w);
+  } else {
+    done_count_.store(0, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lk(pool_mu_);
+      epoch_.fetch_add(1, std::memory_order_release);
+    }
+    pool_cv_.notify_all();
+    run_window(0);
+    // Same spin-then-yield as run_window: windows are short, so the
+    // stragglers usually finish within the spin, but when the host has
+    // fewer cores than workers they need this one to run at all.
+    for (int idle = 0;
+         done_count_.load(std::memory_order_acquire) < workers_ - 1;) {
+      if (++idle < 256)
+        cpu_pause();
+      else
+        std::this_thread::yield();
+    }
+  }
+  in_window_ = false;
 }
 
 void Engine::start_pool() {
@@ -945,7 +1022,7 @@ void Engine::worker_loop(std::uint32_t w) {
     }
     if (pool_exit_.load(std::memory_order_acquire)) break;
     last = epoch_.load(std::memory_order_acquire);
-    run_window(w, window_end_.load(std::memory_order_relaxed));
+    run_window(w);
     done_count_.fetch_add(1, std::memory_order_release);
   }
 }

@@ -128,8 +128,8 @@ class SimThread {
   bool queued_ = false;    // a live (token-matching) run-queue entry exists
   std::uint32_t shard_ = 0;
   std::uint64_t wake_token_ = 0;  // invalidates stale run-queue entries
-  // Set while the fiber is inside Engine::poll(): its run-queue entries are
-  // then poll steps, run on the scheduler stack instead of resuming it.
+  // Set while the fiber is inside Engine::poll(): its poll-lane entries
+  // are poll steps, run on the scheduler stack instead of resuming it.
   PollState* poll_ = nullptr;
 };
 
@@ -145,6 +145,7 @@ struct PollState {
   bool (*probe)(void*);
   bool reading = false;  // pending wake completes a read (probe next)
   std::exception_ptr error;  // thrown by a callback on the scheduler stack
+  std::size_t read_fifo = 0, backoff_fifo = 0;  // poll-lane FIFOs per delay
 };
 
 /// The virtual-time scheduler.
@@ -224,13 +225,13 @@ class Engine {
   /// `issue` accounts for a read when it is issued; `probe` inspects the
   /// word when the read completes. Under the fast paths the fiber parks
   /// once and each later step runs on the scheduler stack when its
-  /// run-queue entry pops. Every step pushes the same (when, seq) entry at
+  /// poll-lane entry pops. Every step draws the same (when, seq) key at
   /// the same moment, and takes the same in-place fast-forward, as the
   /// delay() it replaces, so the simulated schedule is unchanged; only the
-  /// two fiber switches per delay disappear. The callbacks must not block
-  /// or advance time. One that throws unwinds the calling fiber; a kill
-  /// lands at the same instant as in the literal loop. ARGO_SLOW_PATHS
-  /// runs the literal loop.
+  /// two fiber switches per delay disappear. The callbacks must not block,
+  /// advance time or wake fibers. One that throws unwinds the calling
+  /// fiber; a kill lands at the same instant as in the literal loop.
+  /// ARGO_SLOW_PATHS runs the literal loop.
   template <class Issue, class Probe>
   void poll(Time read_cost, Time backoff, Issue&& issue, Probe&& probe) {
     using I = std::remove_reference_t<Issue>;
@@ -272,7 +273,8 @@ class Engine {
     return n;
   }
   /// Run-queue traffic: live entries pushed / popped across every queue
-  /// (legacy plus per-shard), stale pops excluded.
+  /// (legacy plus per-shard, run queue plus poll lane), stale pops
+  /// excluded.
   std::uint64_t runq_pushes() const {
     std::uint64_t n = runq_pushes_;
     for (const auto& s : shards_) n += s->pushes;
@@ -352,6 +354,40 @@ class Engine {
     }
   };
 
+  // Poll steps wait here instead of in the run queue: one ring FIFO per
+  // distinct step delay. A step is pushed at the clock plus a fixed delay
+  // (read_cost or backoff), the clock never runs backwards and seqs only
+  // grow, so each FIFO is already in (when, seq) order and the lane's
+  // minimum is the earliest FIFO head. Stale heads (killed or re-queued
+  // fibers) are dropped when they surface.
+  class PollLane {
+   public:
+    // Index of the FIFO for steps of `delay` ns, created on first use.
+    std::size_t fifo(Time delay);
+    void push(std::size_t fifo, const QueueEntry& e);
+    // The earliest live entry; nullptr when there is none.
+    const QueueEntry* top();
+    void pop() {  // removes top()
+      fifos_[min_].pop();
+      min_ = kNone;
+    }
+
+   private:
+    struct Fifo {
+      Time delay;
+      std::vector<QueueEntry> ring;  // power-of-two capacity
+      std::size_t head = 0, size = 0;
+      QueueEntry& front() { return ring[head]; }
+      void pop() {
+        head = (head + 1) & (ring.size() - 1);
+        --size;
+      }
+    };
+    static constexpr std::size_t kNone = ~std::size_t{0};
+    std::vector<Fifo> fifos_;
+    std::size_t min_ = kNone;  // FIFO holding the minimum; kNone = unknown
+  };
+
   struct Effect {
     Time when;
     std::uint32_t klass;
@@ -367,6 +403,7 @@ class Engine {
 
   struct Shard {
     EventQueue<QueueEntry> runq;
+    PollLane lane;
     EventQueue<Effect> effq;
     // Effects posted by fibers of this shard during the current window,
     // routed to their destination shards by the main thread at the next
@@ -393,27 +430,51 @@ class Engine {
   void make_runnable(SimThread* t, Time when);
   void push_entry(EventQueue<QueueEntry>& q, std::size_t& dead, QueueEntry e);
   void compact(EventQueue<QueueEntry>& q, std::size_t& dead);
+  static bool stale(const QueueEntry& e) {
+    return e.thread->finished_ || e.token != e.thread->wake_token_;
+  }
+  // The queue's earliest live entry (stale tops are popped); nullptr if
+  // none.
+  static const QueueEntry* live_top(EventQueue<QueueEntry>& q,
+                                    std::size_t& dead);
+  // The earliest pending event of `shard`'s context (the legacy engine's
+  // when not sharded) outside the poll lane, as a (when, seq) key: the
+  // live run-queue top, or in sharded mode an earlier effect-queue top or
+  // window end. Those two carry seq 0 and no thread, so they win
+  // same-time ties against lane steps. Far in the future when none.
+  QueueEntry queue_limit(std::uint32_t shard);
+  // Queue the next step of polling fiber `t`, `d` ns from its clock, in
+  // lane FIFO `fifo` (the one for `d`).
+  void push_step(SimThread* t, Time d, std::size_t fifo);
+  // Run the lane's steps ordered before `lim` back to back. Returns the
+  // fiber whose step must resume it (probe accepted, callback threw, or
+  // killed), nullptr once the lane head no longer precedes `lim`. The run
+  // queue is left untouched, so a cached `lim` stays valid throughout.
+  SimThread* run_lane(PollLane& lane, Time& clock, std::uint64_t& pops,
+                      const QueueEntry& lim);
+  static std::size_t colored_stack_size(const SimThread* t);
   void switch_to(SimThread* t);
   void switch_to_scheduler();  // called from inside a fiber
   void reap_finished_one(SimThread* t);
-  // Advance the calling fiber's clock to `when` in place if delay() would
-  // (nothing else due strictly before it; in sharded mode also inside the
-  // window). Counts the fast-forward.
-  bool try_fast_forward(SimThread* self, Time when);
+  // Advance the calling fiber's clock to `when` in place if delay() would:
+  // `when` is before `bound` (queue_limit's time) and before the poll
+  // lane's head; ties go to the queued entry. Counts the fast-forward.
+  bool try_fast_forward(SimThread* self, Time when, Time bound);
   void poll_impl(PollState& p);
   // Run poll steps from the instant the pending wake fires until one has
-  // to queue (false, entry pushed) or the probe accepts (true).
-  bool poll_advance(SimThread* t, PollState& p);
+  // to queue (false, lane entry pushed) or the probe accepts (true).
+  bool poll_advance(SimThread* t, PollState& p, Time bound);
   // Scheduler side of a popped poll-step entry; true = resume the fiber.
-  bool run_poll_step(SimThread* t);
+  bool run_poll_step(SimThread* t, Time bound);
 
   // sharded internals
   void run_sharded();
-  void run_window(std::uint32_t worker, Time w1);
-  // Execute shard events below w1; returns true when the shard is done for
-  // the window (false = stalled on another shard's effect). Sets
-  // `progressed` when anything ran.
-  bool shard_step(Shard& s, Time w1, bool& progressed);
+  void run_windows();
+  void run_window(std::uint32_t worker);
+  // Execute the shard's events below window_end_; returns true when the
+  // shard is done for the window (false = stalled on another shard's
+  // effect). Sets `progressed` when anything ran.
+  bool shard_step(std::uint32_t shard, bool& progressed);
   void route_outboxes();
   bool next_event_time(Shard& s, Time& t);  // pops stale heads
   void start_pool();
@@ -422,6 +483,7 @@ class Engine {
 
   EventQueue<QueueEntry> runq_;
   std::size_t runq_dead_ = 0;
+  PollLane lane_;
   std::vector<std::unique_ptr<SimThread>> threads_;
   // Recycled default-size fiber stacks: a finished fiber's stack is reused
   // by the next spawn instead of being freed and re-mapped. Disabled under

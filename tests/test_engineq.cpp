@@ -581,4 +581,150 @@ TEST(EnginePoll, KilledPollerUnwindsAtTheKillInstant) {
   EXPECT_GT(fast_steps, 0u);  // the throw happened on the scheduler stack
 }
 
+// Same-time ties between a poll step and the other events it can meet. The
+// literal loop settles each by queue order: a delay lands behind a step
+// already pending at its instant, a step lands behind an entry queued
+// before it, and an effect runs before every fiber wake at its instant.
+// The poller P (read 3, backoff 7) issues at 0, 10, 20, ... and probes at
+// 3, 13, 23, ...; the other fiber writes P's word exactly on a probe
+// instant, so P's finish time shows which side of the tie ran first.
+enum class Tie { DelayOnPendingStep, StepOnQueuedEntry, EffectAtStepInstant };
+
+struct TieRun {
+  std::vector<PollEv> log;
+  Time done = 0;  // instant P's poll returned
+  std::uint64_t poll_steps = 0;
+};
+
+TieRun run_tie(Tie tie, int workers, bool slow) {
+  SlowGuard guard;
+  argosim::set_slow_paths(slow);
+  Engine eng;
+  if (workers >= 0)
+    eng.enable_sharding(2, /*l=*/40, static_cast<std::uint32_t>(workers));
+  TieRun r;
+  std::uint64_t word = 0;
+  auto write = [&r, &word](std::uint64_t id) {
+    word = 1;
+    r.log.push_back({argosim::now(), id, 1, 'w'});
+  };
+  switch (tie) {
+    case Tie::DelayOnPendingStep:
+      // At 11 the step at 13 is already pending; delay(2) lands on it.
+      spawn_in(eng, 0, "writer", [&write] {
+        argosim::delay(11);
+        argosim::delay(2);
+        write(Engine::current_thread()->id());
+      });
+      break;
+    case Tie::StepOnQueuedEntry:
+      // The writer queues for 33 at time 0; P's issue step at 30 lands its
+      // probe on that entry. The ticker (7, 14, ..., never on P's grid)
+      // parks P early, so the step at 30 runs on the scheduler stack.
+      spawn_in(eng, 0, "writer", [&write] {
+        argosim::delay(33);
+        write(Engine::current_thread()->id());
+      });
+      spawn_in(eng, 0, "ticker", [] {
+        for (int i = 0; i < 5; ++i) argosim::delay(7);
+      });
+      break;
+    case Tie::EffectAtStepInstant:
+      // Posted from shard 1 into the window after P's issue step at 40.
+      spawn_in(eng, 1, "poster", [&eng, &write] {
+        argosim::delay(3);
+        eng.post_effect(0, 43, /*klass=*/0, 0, 0, [&write] { write(99); });
+      });
+      break;
+  }
+  spawn_in(eng, 0, "poller", [&] {
+    const auto id = Engine::current_thread()->id();
+    eng.poll(3, 7, [&] { r.log.push_back({argosim::now(), id, 0, 'i'}); },
+             [&] {
+               r.log.push_back({argosim::now(), id, word, 'p'});
+               return word != 0;
+             });
+    r.done = argosim::now();
+  });
+  eng.run();
+  r.poll_steps = eng.poll_steps();
+  return r;
+}
+
+TEST(EnginePoll, DelayLandingOnAPendingStepQueuesBehindIt) {
+  for (const int workers : {-1, 1, 2}) {
+    const TieRun slow = run_tie(Tie::DelayOnPendingStep, workers, true);
+    const TieRun fast = run_tie(Tie::DelayOnPendingStep, workers, false);
+    EXPECT_EQ(slow.log, fast.log) << "workers " << workers;
+    EXPECT_EQ(fast.done, Time{23}) << "workers " << workers;  // probe 13 saw 0
+    EXPECT_GT(fast.poll_steps, 0u) << "workers " << workers;
+  }
+}
+
+TEST(EnginePoll, StepLandingOnAQueuedEntryRunsAfterIt) {
+  for (const int workers : {-1, 1, 2}) {
+    const TieRun slow = run_tie(Tie::StepOnQueuedEntry, workers, true);
+    const TieRun fast = run_tie(Tie::StepOnQueuedEntry, workers, false);
+    EXPECT_EQ(slow.log, fast.log) << "workers " << workers;
+    EXPECT_EQ(fast.done, Time{33}) << "workers " << workers;  // write first
+    EXPECT_GT(fast.poll_steps, 0u) << "workers " << workers;
+  }
+}
+
+TEST(EnginePoll, EffectAtAStepInstantRunsFirst) {
+  for (const int workers : {1, 2}) {
+    const TieRun slow = run_tie(Tie::EffectAtStepInstant, workers, true);
+    const TieRun fast = run_tie(Tie::EffectAtStepInstant, workers, false);
+    EXPECT_EQ(slow.log, fast.log) << "workers " << workers;
+    EXPECT_EQ(fast.done, Time{43}) << "workers " << workers;  // effect first
+    EXPECT_GT(fast.poll_steps, 0u) << "workers " << workers;
+  }
+}
+
+// A daemon still parked in poll() when run() returns is unwound by
+// shutdown() or the destructor: its RAII guard runs and no fiber is left.
+TEST(EnginePoll, ShutdownUnwindsADaemonParkedInPoll) {
+  for (const int workers : {-1, 1, 2}) {
+    for (const bool slow : {true, false}) {
+      for (const bool explicit_shutdown : {true, false}) {
+        SlowGuard guard;
+        argosim::set_slow_paths(slow);
+        bool unwound = false;
+        std::uint64_t probes = 0;
+        {
+          Engine eng;
+          if (workers >= 0)
+            eng.enable_sharding(2, /*l=*/40,
+                                static_cast<std::uint32_t>(workers));
+          eng.spawn_on(workers >= 0 ? 1 : 0, "daemon", [&] {
+            struct OnUnwind {
+              bool* flag;
+              ~OnUnwind() { *flag = true; }
+            } on_unwind{&unwound};
+            const std::uint64_t word = 0;  // never written
+            eng.poll(3, 7, [] {}, [&] {
+              ++probes;
+              return word != 0;
+            });
+          }, /*daemon=*/true);
+          spawn_in(eng, 0, "main", [] { argosim::delay(500); });
+          eng.run();
+          EXPECT_FALSE(unwound);
+          EXPECT_EQ(eng.live_count(), 1u);
+          if (explicit_shutdown) {
+            eng.shutdown();
+            EXPECT_TRUE(unwound);
+            EXPECT_EQ(eng.live_count(), 0u);
+          }
+        }
+        const std::string label = "workers " + std::to_string(workers) +
+                                  (slow ? " slow" : " fast") +
+                                  (explicit_shutdown ? " shutdown" : " dtor");
+        EXPECT_TRUE(unwound) << label;
+        EXPECT_GT(probes, 10u) << label;
+      }
+    }
+  }
+}
+
 }  // namespace

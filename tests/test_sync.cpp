@@ -674,5 +674,65 @@ TEST(PollSteps, DsmFlagWaitIsBitIdenticalToTheLiteralSpin) {
   expect_same_run(slow, fast, "dsm flag");
 }
 
+// The setter's store to a flag homed on the waiter's node completes
+// exactly on one of the waiter's probe instants. In the literal loop the
+// store wins that tie (its wake was queued first on the legacy engine; it
+// is an effect on the sharded one), so the waiter must see the flag at
+// that very probe.
+struct FlagTie {
+  Time start = 0;   // waiter enters wait()
+  Time stored = 0;  // setter's store completes
+  Time woke = 0;    // waiter returns from wait()
+  LockObs obs;
+};
+
+FlagTie run_flag_tie(int engine_threads, Time lead, bool slow) {
+  SlowGuard guard;
+  argosim::set_slow_paths(slow);
+  ClusterConfig cfg = dsm_cfg(2, 1);
+  cfg.trace.enabled = true;
+  cfg.engine_threads = engine_threads;
+  Cluster cl(cfg);
+  DsmFlag flag(cl);
+  FlagTie r;
+  std::uint64_t seen = 0;
+  const Time elapsed = cl.run([&](Thread& t) {
+    if (t.node() == 0) {
+      r.start = t.now();
+      seen = flag.wait(t, 1);
+      r.woke = t.now();
+    } else {
+      t.compute(1'000 + lead);
+      flag.set(t, 1);
+      r.stored = t.now();
+    }
+  });
+  r.obs = observe(cl, elapsed, seen);
+  return r;
+}
+
+TEST(PollSteps, DsmFlagStoreOnAProbeInstantIsSeenThere) {
+  const ClusterConfig cfg = dsm_cfg(2, 1);
+  const Time read = cfg.net.mem_latency + cfg.net.mem_copy(8);
+  const Time period = read + 500;  // DsmFlag::wait's backoff
+  for (const int threads : {0, 1, 2}) {
+    const std::string label = "engine_threads " + std::to_string(threads);
+    // Shift the store onto the first probe instant after it.
+    const FlagTie base = run_flag_tie(threads, 0, /*slow=*/true);
+    ASSERT_GT(base.stored, base.start + read) << label;
+    const Time lead = period - (base.stored - base.start - read) % period;
+    const FlagTie slow = run_flag_tie(threads, lead, /*slow=*/true);
+    const FlagTie fast = run_flag_tie(threads, lead, /*slow=*/false);
+    ASSERT_EQ((slow.stored - slow.start - read) % period, 0u) << label;
+    EXPECT_EQ(slow.obs.result, 1u) << label;
+    // Seen at the tied probe: as early as a store one nanosecond earlier.
+    const FlagTie earlier = run_flag_tie(threads, lead - 1, /*slow=*/true);
+    EXPECT_EQ(earlier.woke, slow.woke) << label;
+    EXPECT_EQ(fast.stored, slow.stored) << label;
+    EXPECT_EQ(fast.woke, slow.woke) << label;
+    expect_same_run(slow.obs, fast.obs, label);
+  }
+}
+
 }  // namespace
 }  // namespace argosync
